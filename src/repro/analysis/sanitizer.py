@@ -8,14 +8,14 @@ message, a gather that reads ghost entries the exchange never filled,
 an eviction that swaps the partition without rebuilding the ownership
 map.
 
-Mechanism: the executor (when sanitizing) hands each phase *tracked*
+Mechanism: the sanitizer is a *phase observer* of the executor's
+superstep pipeline (hooks ``after_scatter`` / ``after_compute`` /
+``after_exchange`` / ``after_gather``), and hands each phase *tracked*
 views of the per-PE vectors.  :class:`TrackedArray` is an
 ``np.ndarray`` subclass whose ``__getitem__``/``__setitem__`` record
 (pe, phase, dof-set) access records into a log shared across worker
 threads (CPython ``list.append`` is atomic under the GIL, so the
-threaded backend needs no extra locking; process-pool workers receive
-pickled copies whose tracking state is inert, which is sound — a
-worker cannot race on the parent's memory).  After each phase the
+threaded backend needs no extra locking).  After each phase the
 :class:`SuperstepSanitizer` checks the recorded access sets against
 the ownership map (``DataDistribution``) and the exchange schedule's
 happens-before structure (``CommSchedule`` pair table):
@@ -31,9 +31,12 @@ happens-before structure (``CommSchedule`` pair table):
   completeness) and is blamed exactly.
 
 Findings carry exact ``(pe, step, phase, dof)`` blame.  Disabled
-(``REPRO_SAN`` unset) the executor takes the historical path bit for
-bit — the only cost is one ``is None`` test per multiply, the same
-pattern as telemetry and runtime contracts.
+(``REPRO_SAN`` unset) no observer is attached and the executor runs
+the same pipeline with nothing to notify, bit for bit.  The sanitizer
+composes with ABFT (which observes each phase first, so its injections
+and heals happen outside the tracked views); the executor refuses it
+on the ``overlap`` backend, whose split compute never materializes the
+whole per-PE products the checks need.
 
 See DESIGN.md section 12 and the ``repro-san`` CLI.
 """
@@ -116,8 +119,7 @@ class TrackedArray(np.ndarray):
 
     Only views created via :meth:`wrap` record; any derived view or
     ufunc result has its tracking state reset by
-    ``__array_finalize__`` (and pickled copies arrive inert in
-    process-pool workers).  Values and memory are untouched — a
+    ``__array_finalize__``.  Values and memory are untouched — a
     tracked view is bit-identical to its base.
     """
 
@@ -238,8 +240,6 @@ class SuperstepSanitizer:
         self._log = _AccessLog()
         self._step = -1
         self._step_start = 0  # findings index at begin_step
-        self._x_wrapped: List[TrackedArray] = []
-        self._y_wrapped: List[TrackedArray] = []
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -275,19 +275,40 @@ class SuperstepSanitizer:
                 "the distribution without rebuilding the sanitizer",
             )
 
-    def wrap(self, arrays: Sequence[np.ndarray], which: str) -> List[TrackedArray]:
-        wrapped = [
+    def _wrap(
+        self, arrays: Sequence[np.ndarray], phase: str
+    ) -> List[TrackedArray]:
+        """Tracked views of ``arrays``; accesses from now on are
+        stamped with ``phase``."""
+        self._log.phase = phase
+        return [
             TrackedArray.wrap(arr, self._log, pe)
             for pe, arr in enumerate(arrays)
         ]
-        if which == "x":
-            self._x_wrapped = wrapped
-        else:
-            self._y_wrapped = wrapped
-        return wrapped
 
-    def set_phase(self, phase: str) -> None:
-        self._log.phase = phase
+    # -- phase-observer hooks (the executor's superstep pipeline) ----------
+
+    def after_scatter(self, ss) -> None:
+        self.begin_step(ss.step, ss.smvp.distribution)
+        ss.x_locals = self._wrap(ss.x_locals, "compute")
+
+    def after_compute(self, ss) -> None:
+        self.check_compute(ss.y_locals)
+        ss.y_locals = self._wrap(ss.y_locals, "exchange")
+
+    def after_exchange(self, ss) -> None:
+        self.check_exchange(ss.delivered)
+        # Re-wrap: an observer ahead of this one may have replaced a
+        # healed slot with a fresh (untracked) array.
+        ss.y_locals = self._wrap(ss.y_locals, "gather")
+
+    def after_gather(self, ss) -> None:
+        self.check_gather()
+        self.end_step()
+
+    def close_step(self, ss) -> None:
+        """Nothing to settle: an aborted step is reopened by the next
+        ``begin_step``."""
 
     # -- per-phase checks --------------------------------------------------
 
@@ -433,8 +454,6 @@ class SuperstepSanitizer:
                 dofs
             )
         self.steps_checked += 1
-        self._x_wrapped = []
-        self._y_wrapped = []
         new = self.findings[self._step_start :]
         if new and self.strict:
             raise SanitizerError(new)

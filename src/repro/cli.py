@@ -52,9 +52,34 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import List, Optional
+
+
+def _refusals_exit(main):
+    """Report a refused feature combination as a usage error.
+
+    The executor refuses unsupported backend / feature combinations
+    with ``UnsupportedCombinationError`` (a ``ValueError``) when it is
+    built; every entry point turns that into one clean line on stderr
+    and exit status 2 instead of a traceback.
+    """
+
+    @functools.wraps(main)
+    def run(argv: Optional[List[str]] = None) -> int:
+        try:
+            return main(argv)
+        except ValueError as exc:
+            from repro.smvp.backends import UnsupportedCombinationError
+
+            if not isinstance(exc, UnsupportedCombinationError):
+                raise
+            print(f"repro-{main.__name__[5:]}: error: {exc}", file=sys.stderr)
+            return 2
+
+    return run
 
 
 def _run_traced_workload(
@@ -129,6 +154,7 @@ def _run_traced_workload(
     return log, flops, schedule
 
 
+@_refusals_exit
 def main_tables(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro-tables``."""
     from repro.tables.report import TABLES, generate
@@ -151,6 +177,7 @@ def main_tables(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
+@_refusals_exit
 def main_quake(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro-quake``: a miniature Quake simulation."""
     import numpy as np
@@ -186,7 +213,7 @@ def main_quake(argv: Optional[List[str]] = None) -> int:
         "--backend",
         default="serial",
         help="execution backend for the compute phase "
-        "(serial / threaded / shared-memory)",
+        "(serial / threaded / overlap)",
     )
     parser.add_argument(
         "--kernel",
@@ -332,6 +359,7 @@ def main_quake(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
+@_refusals_exit
 def main_mesh(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro-mesh``: build, inspect, and export meshes."""
     from repro.mesh.instances import get_instance, instance_names
@@ -385,6 +413,7 @@ def main_mesh(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
+@_refusals_exit
 def main_faults(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro-faults``: the reliability sweep."""
     from repro.mesh.instances import INSTANCES
@@ -486,6 +515,7 @@ def main_faults(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
+@_refusals_exit
 def main_lint(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro-lint``: the static-analysis gate."""
     from repro.analysis import (
@@ -588,6 +618,7 @@ def main_lint(argv: Optional[List[str]] = None) -> int:
     return 1 if findings or over_budget else 0
 
 
+@_refusals_exit
 def main_san(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro-san``: the dynamic BSP race detector.
 
@@ -739,6 +770,7 @@ def main_san(argv: Optional[List[str]] = None) -> int:
     return 1 if san.findings else 0
 
 
+@_refusals_exit
 def main_measure(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro-measure``: the Spark98-style suite."""
     from repro.smvp.backends import backend_names
@@ -851,6 +883,7 @@ def main_measure(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
+@_refusals_exit
 def main_trace(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro-trace``: per-superstep instrumentation.
 
@@ -988,6 +1021,7 @@ def main_trace(argv: Optional[List[str]] = None) -> int:
 PROFILE_IDENTITY_TOL = 1e-9
 
 
+@_refusals_exit
 def main_profile(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro-profile``: the critical-path profiler.
 
@@ -1187,6 +1221,7 @@ def main_profile(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
+@_refusals_exit
 def main_metrics(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro-metrics``: the observability surface.
 
@@ -1470,6 +1505,7 @@ def _metrics_drift(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+@_refusals_exit
 def main_chaos(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro-chaos``: supervised kill-schedule runs."""
     import json

@@ -100,12 +100,18 @@ class FaultStats:
 
     def merge(self, other: "FaultStats") -> "FaultStats":
         """Element-wise sum (aggregating over supersteps)."""
-        return FaultStats(
-            **{
-                name: getattr(self, name) + getattr(other, name)
-                for name in self.__dataclass_fields__
-            }
-        )
+        return FaultStats().accumulate(self).accumulate(other)
+
+    def accumulate(self, other: "FaultStats") -> "FaultStats":
+        """Add ``other`` into this tally in place and return it.
+
+        Run-level tallies are shared objects (an executor's successors
+        after eviction or growth keep adding to the same instance), so
+        folding a superstep in must mutate, never rebind.
+        """
+        for name in self.__dataclass_fields__:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        return self
 
 
 def check_finite(

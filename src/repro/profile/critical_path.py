@@ -5,8 +5,8 @@ object carrying ``pe_spans`` / ``t_smvp`` / ``backend`` / ``step``)
 into a blame breakdown over the buckets
 
 ``compute``
-    Useful per-PE product time.  For concurrently executing backends
-    (``threaded`` / ``shared-memory``) this is the *mean* per-PE span,
+    Useful per-PE product time.  For the concurrently executing
+    ``threaded`` backend this is the *mean* per-PE span,
     so the gap to the slowest PE lands in ``imbalance``; for serially
     executing backends (``serial``, ``overlap``) it is the sum.
 ``imbalance``
@@ -23,8 +23,8 @@ into a blame breakdown over the buckets
     path's delivery-summation window (its cost scales with delivered
     words).
 ``verify`` / ``recovery``
-    ABFT check windows, minus the recovery recomputes they contain,
-    which get their own bucket.
+    Phase-observer check windows (ABFT, the race sanitizer), minus the
+    recovery recomputes they contain, which get their own bucket.
 ``overhead``
     Scatter/gather plus orchestration residue inside compute windows.
 
@@ -36,9 +36,9 @@ extracted critical path — the chain of host windows, each labeled by
 its dominant contributor — sums to ``t_smvp`` to float-addition
 precision.  Tests and the CI gate rely on this identity.
 
-Per-PE spans from worker threads/processes are *clamped* into their
+Per-PE spans from worker threads are *clamped* into their
 matching host window before any accounting: ``perf_counter`` is
-CLOCK_MONOTONIC system-wide on Linux, so cross-thread and cross-process
+CLOCK_MONOTONIC system-wide on Linux, so cross-thread
 readings are comparable, but clamping keeps the attribution total even
 on hosts where they are skewed.
 
@@ -56,7 +56,7 @@ from repro.profile.spans import HOST, PeSpan, SuperstepSpans
 
 #: Backends whose per-PE products genuinely run concurrently; the
 #: compute window is then bounded by the slowest PE, not the sum.
-CONCURRENT_BACKENDS = frozenset({"threaded", "shared-memory"})
+CONCURRENT_BACKENDS = frozenset({"threaded"})
 
 #: Blame buckets, in render order.
 BUCKETS = (

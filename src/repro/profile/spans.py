@@ -1,10 +1,12 @@
 """Per-PE span recording for the critical-path profiler.
 
 A *span* is one timed interval inside a superstep: a PE's local
-product, a message on the wire, an ABFT check window, a recovery
-recompute.  The executor records spans only when constructed with
-``profile=True`` — the default path stays clock-free and bit-identical,
-exactly like ``trace_sink=None``.
+product, a message on the wire, an observer's check window, a recovery
+recompute.  The executor times every traced superstep with one
+:class:`SpanRecorder` (its host windows give the trace's phase
+times); per-PE spans are recorded and attached to the trace only when
+the executor is constructed with ``profile=True``.  With no trace sink
+the superstep reads no clock at all.
 
 Span times are stored **relative to the superstep's own start** (the
 ``t0`` of the emitting ``multiply``), so a :class:`SuperstepSpans`
@@ -17,9 +19,10 @@ Two span families share the container:
 
 * **host windows** (``pe == -1``): the orchestration phases as the
   foreground thread saw them — ``scatter`` / ``compute`` / ``exchange``
-  / ``gather`` on the plain path, ``boundary`` / ``interior`` /
-  ``wait`` / ``sum`` on the overlapped path, plus ``verify`` windows on
-  the ABFT path.  They partition the superstep.
+  / ``gather``, with the compute and exchange split into ``boundary``
+  / ``interior`` / ``wait`` / ``sum`` on the overlapped path, plus one
+  ``verify`` window after each phase when phase observers (ABFT, the
+  race sanitizer) are attached.  They partition the superstep.
 * **per-PE spans** (``pe >= 0``): one ``compute`` (or ``boundary`` +
   ``interior``) span per PE, ``wire`` spans per transmitted message
   (``pe`` = source, ``dst`` = destination, ``words`` = payload size),
@@ -35,7 +38,7 @@ This module deliberately imports nothing from :mod:`repro.smvp` or
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.util.clock import now
 
@@ -148,25 +151,41 @@ class SuperstepSpans:
 
 
 class SpanRecorder:
-    """Collects absolute-time spans during one superstep.
+    """Times one superstep: its host windows and, when profiling, its
+    per-PE spans.
 
-    ``add`` takes *absolute* clock readings (``repro.util.clock.now``);
-    ``finish(origin)`` rebases everything to the superstep start and
-    returns the frozen, sorted :class:`SuperstepSpans`.
+    ``start()`` reads the origin; each ``lap(kind)`` closes one host
+    window at the current clock reading, so consecutive laps tile
+    ``[origin, last lap]`` with no gaps.  ``add`` takes *absolute*
+    clock readings, ``timed`` runs a callable and records its span,
+    and ``finish(origin)`` rebases everything to the superstep start
+    and returns the frozen, sorted :class:`SuperstepSpans`.
+
+    ``clock`` defaults to :func:`repro.util.clock.now`; the executor
+    passes its own module-level clock so a test can count the reads of
+    one superstep.
 
     Thread safety: ``list.append`` is atomic under the GIL, so the
-    overlapped path's background wire thread and the foreground compute
-    thread may record concurrently without a lock; ``start`` installs a
-    *fresh* list so a straggling append to a previous superstep's list
-    can never leak into the current one.
+    overlapped path's background wire thread, pooled compute workers
+    and the foreground thread may record concurrently without a lock.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, clock: Callable[[], float] = now) -> None:
+        self.clock = clock
         self._spans: List[Tuple[str, int, float, float, int, int]] = []
+        self.origin = 0.0
+        self._mark = 0.0
 
     def start(self) -> None:
-        """Begin a new superstep's recording."""
+        """Begin a new superstep's recording at the current time."""
         self._spans = []
+        self.origin = self._mark = self.clock()
+
+    def lap(self, kind: str) -> None:
+        """Close the host window ``kind`` that began at the last lap."""
+        t = self.clock()
+        self._spans.append((kind, HOST, self._mark, t, 0, -1))
+        self._mark = t
 
     def add(
         self,
@@ -179,8 +198,32 @@ class SpanRecorder:
     ) -> None:
         self._spans.append((kind, pe, t_start, t_end, words, dst))
 
-    def finish(self, origin: float) -> SuperstepSpans:
-        """Rebase to ``origin`` and freeze the recording."""
+    def timed(self, kind: str, pe: int, fn: Callable, *args):
+        """``fn(*args)``, recorded as one ``kind`` span of PE ``pe``."""
+        clock = self.clock
+        t_start = clock()
+        out = fn(*args)
+        self._spans.append((kind, pe, t_start, clock(), 0, -1))
+        return out
+
+    @property
+    def elapsed(self) -> float:
+        """Seconds from ``start`` to the last lap."""
+        return self._mark - self.origin
+
+    def host_total(self, *kinds: str) -> float:
+        """Summed duration of the host windows of the given kinds."""
+        return sum(
+            t_end - t_start
+            for kind, pe, t_start, t_end, _, _ in self._spans
+            if pe == HOST and kind in kinds
+        )
+
+    def finish(self, origin: Optional[float] = None) -> SuperstepSpans:
+        """Rebase to ``origin`` (default: the ``start`` reading) and
+        freeze the recording."""
+        if origin is None:
+            origin = self.origin
         spans = [
             PeSpan(
                 kind=kind,
@@ -216,7 +259,8 @@ class ProfiledTransport:
         return self.inner.make_stats()
 
     def transmit(self, send, step, stats, words_sent, blocks_sent):
-        t_start = now()
+        clock = self.recorder.clock
+        t_start = clock()
         payload = self.inner.transmit(
             send, step, stats, words_sent, blocks_sent
         )
@@ -224,7 +268,7 @@ class ProfiledTransport:
             "wire",
             send.src,
             t_start,
-            now(),
+            clock(),
             words=int(payload.size),
             dst=send.dst,
         )

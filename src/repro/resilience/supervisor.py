@@ -439,8 +439,7 @@ class SuperstepSupervisor:
         self.health.mark_evicted(orig_pe)
         self._evicted_physical.append((step_index, dead_physical))
         self._quarantined_at.pop(orig_pe, None)
-        self.shadow = ShadowStore(new_smvp.distribution)
-        self.shadow.capture_from(stepper)
+        self._continue_on(new_smvp)
 
         delta = schedule_delta(
             old_schedule,
@@ -474,6 +473,14 @@ class SuperstepSupervisor:
         )
         self.events.append(event)
         record_eviction(event)
+        return event
+
+    def _continue_on(self, new_smvp) -> None:
+        """Shadow the successor executor's layout and record where a
+        fresh run on it would resume (the survivor-equivalence proof)."""
+        stepper = self.stepper
+        self.shadow = ShadowStore(new_smvp.distribution)
+        self.shadow.capture_from(stepper)
         self.resume_points.append(
             ResumePoint(
                 partition_parts=new_smvp.partition.parts.copy(),
@@ -486,7 +493,6 @@ class SuperstepSupervisor:
                 pe_ids=new_smvp.pe_ids.copy(),
             )
         )
-        return event
 
     def _rollback_and_recompute(
         self, new_smvp, old_distribution, orig_pe: int, step_index: int
@@ -579,8 +585,7 @@ class SuperstepSupervisor:
 
         self._current_to_orig.append(self.health.add_pe())
         self._grow_count += 1
-        self.shadow = ShadowStore(new_smvp.distribution)
-        self.shadow.capture_from(stepper)
+        self._continue_on(new_smvp)
 
         # Survivor ids are stable under growth (the new PE takes the
         # fresh highest slot), so the delta maps pairs identically.
@@ -602,18 +607,6 @@ class SuperstepSupervisor:
         self.scale_events.append(event)
         record_scale_event(event)
         self._last_scale_step = step_index
-        self.resume_points.append(
-            ResumePoint(
-                partition_parts=new_smvp.partition.parts.copy(),
-                num_parts=new_smvp.num_parts,
-                u=stepper.u.copy(),
-                u_prev=stepper.u_prev.copy(),
-                step_index=stepper.step_index,
-                superstep=new_smvp._superstep,
-                quarantined=new_smvp.quarantined,
-                pe_ids=new_smvp.pe_ids.copy(),
-            )
-        )
         return event
 
     def _pick_physical_id(self, step_index: int):

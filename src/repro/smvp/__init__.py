@@ -18,7 +18,7 @@ sequential product.
   CSR, 3x3 BSR, symmetric upper-triangle, a pure-Python reference) and
   T_f measurement.
 * :mod:`~repro.smvp.backends` — execution backends for the compute
-  phase: ``serial``, ``threaded``, ``shared-memory``.
+  phase: ``serial``, ``threaded``, ``overlap``.
 * :mod:`~repro.smvp.exchange` — the exchange-and-sum as composable
   steps, with the fault protocol as transport middleware.
 * :mod:`~repro.smvp.trace` — per-superstep instrumentation records and
@@ -26,8 +26,9 @@ sequential product.
 * :mod:`~repro.smvp.abft` — algorithm-based fault tolerance: checksum
   rows that verify every PE's product and exchange in O(n_i), catching
   the silent memory/compute corruption the wire CRCs never see.
-* :mod:`~repro.smvp.executor` — the two-phase bulk-synchronous
-  distributed SMVP tying the layers together.
+* :mod:`~repro.smvp.executor` — the bulk-synchronous distributed SMVP
+  tying the layers together: one superstep pipeline with ABFT and the
+  race sanitizer as phase observers.
 * :mod:`~repro.smvp.spark98` — a Spark98-style named kernel suite.
 """
 
@@ -49,6 +50,7 @@ from repro.smvp.kernels import (
 from repro.smvp.backends import (
     BACKENDS,
     ExecutionBackend,
+    UnsupportedCombinationError,
     backend_names,
     make_backend,
 )
@@ -80,6 +82,7 @@ __all__ = [
     "measure_tf",
     "BACKENDS",
     "ExecutionBackend",
+    "UnsupportedCombinationError",
     "backend_names",
     "make_backend",
     "ExchangeRecord",

@@ -16,12 +16,6 @@ format (the kernel) and to the exchange protocol:
     decompositions).  Results are ordered by PE index and bit-identical
     to ``serial`` — each product is the same code on the same data.
 
-``shared-memory``
-    The per-PE products on a process pool.  Each worker holds its own
-    prepared kernel states (inherited at pool setup), so a compute call
-    ships only the x vectors — the closest in-process analogue to PEs
-    with private memories.
-
 ``overlap``
     Serial products with a boundary/interior row split: each PE's
     boundary rows (shared nodes) compute first, the exchange launches,
@@ -32,7 +26,8 @@ format (the kernel) and to the exchange protocol:
 Backends implement :class:`ExecutionBackend`: ``setup(kernel,
 matrices)`` prepares per-PE kernel states once (format conversion
 happens here, never per product), ``compute(x_locals)`` runs one
-compute phase, ``close()`` releases pools.  Select one by name through
+compute phase, ``compute_one(pe, x)`` recomputes one PE's product,
+``close()`` releases pools.  Select one by name through
 :func:`make_backend` or ``DistributedSMVP(backend=...)``.
 """
 
@@ -40,17 +35,18 @@ from __future__ import annotations
 
 from typing import Dict, Type
 
-from repro.smvp.backends.base import ExecutionBackend
+from repro.smvp.backends.base import (
+    ExecutionBackend,
+    UnsupportedCombinationError,
+)
 from repro.smvp.backends.overlap import OverlapBackend
 from repro.smvp.backends.serial import SerialBackend
-from repro.smvp.backends.shared_memory import SharedMemoryBackend
 from repro.smvp.backends.threaded import ThreadedBackend
 
 #: Name -> backend class.  Register new execution strategies here.
 BACKENDS: Dict[str, Type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
     ThreadedBackend.name: ThreadedBackend,
-    SharedMemoryBackend.name: SharedMemoryBackend,
     OverlapBackend.name: OverlapBackend,
 }
 
@@ -82,8 +78,8 @@ __all__ = [
     "ExecutionBackend",
     "OverlapBackend",
     "SerialBackend",
-    "SharedMemoryBackend",
     "ThreadedBackend",
+    "UnsupportedCombinationError",
     "backend_names",
     "make_backend",
 ]

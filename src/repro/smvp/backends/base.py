@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -11,85 +11,82 @@ from repro.smvp.kernels import Kernel
 from repro.telemetry.registry import count
 
 
+class UnsupportedCombinationError(ValueError):
+    """A backend / kernel / feature combination the superstep pipeline
+    refuses when the executor is built.
+
+    Raised instead of silently running a different path than the one
+    requested (see the combination table in DESIGN.md §8).  Subclasses
+    ``ValueError``, so the CLI entry points report it as a usage error.
+    """
+
+
+def run_per_pe(
+    fn: Callable[[int, np.ndarray], np.ndarray],
+    xs: Sequence[np.ndarray],
+    recorder=None,
+    kind: str = "compute",
+    mapper=map,
+) -> List[np.ndarray]:
+    """``[fn(pe, x) for pe, x in enumerate(xs)]`` through ``mapper`` (a
+    pool's ``map``, to run the calls concurrently); with a span
+    ``recorder``, each call is also timed — where it runs — as one
+    ``kind`` span."""
+    if recorder is not None:
+
+        def fn(pe, x, _fn=fn):
+            return recorder.timed(kind, pe, _fn, pe, x)
+
+    return list(mapper(fn, range(len(xs)), xs))
+
+
 class ExecutionBackend:
     """Runs the compute phase: per-PE local products, one strategy.
 
     Lifecycle: ``setup`` once with the kernel and the per-PE local
     matrices (this is where ``Kernel.prepare`` runs — exactly once per
     PE, outside any timed region), then ``compute`` per superstep,
-    then ``close``.  ``compute`` must return the per-PE products in PE
-    order, bit-identical to ``[kernel.apply(state_i, x_i)]`` — backends
-    change *where* the products run, never their values.
+    then ``close``.  The pipeline calls two entry points:
+
+    ``compute(x_locals, recorder=None)``
+        One compute phase: the per-PE products in PE order.  With a
+        span recorder, each PE's product is recorded as a ``compute``
+        span (read where the product runs, so pooled spans genuinely
+        overlap).
+    ``compute_one(pe, x)``
+        One PE's product again (ABFT inline recovery); bit-identical
+        to the ``pe``-th entry of ``compute``.
+
+    Both take per-PE vectors ``(n_i,)`` or blocks ``(n_i, r)``; column
+    j of a block product is bit-identical to the vector product of
+    column j.  Backends change *where* the products run, never their
+    values.  This base class runs them one after another in the
+    calling thread.
     """
 
     name: str = "abstract"
 
     def __init__(self) -> None:
         self.kernel: Kernel = None  # type: ignore[assignment]
-        self.num_parts = 0
+        self.states: list = []
 
     def setup(self, kernel: Kernel, matrices: Sequence[sp.spmatrix]) -> None:
         """Prepare per-PE kernel states (format conversion happens here)."""
         self.kernel = kernel
-        self.num_parts = len(matrices)
-
-    def compute(self, x_locals: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """One compute phase: the per-PE products, in PE order."""
-        raise NotImplementedError
+        self.states = [kernel.prepare(m) for m in matrices]
 
     def compute_one(self, pe: int, x: np.ndarray) -> np.ndarray:
-        """Recompute a single PE's product (ABFT inline recovery).
+        """One PE's local product, vector or block."""
+        if x.ndim == 2:
+            return self.kernel.apply_block(self.states[pe], x)
+        return self.kernel.apply(self.states[pe], x)
 
-        Must be bit-identical to the ``pe``-th entry of
-        :meth:`compute` — same prepared state, same kernel code — so a
-        recomputed superstep heals a transient corruption exactly.
-        """
-        raise NotImplementedError
-
-    def compute_block(self, X_locals: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """One compute phase over per-PE n x r blocks, in PE order.
-
-        Column j of each product must be bit-identical to the
-        corresponding entry of :meth:`compute` on the j-th columns —
-        backends batch the traversal, never change the values.
-        """
-        raise NotImplementedError
-
-    def compute_one_block(self, pe: int, X: np.ndarray) -> np.ndarray:
-        """Recompute a single PE's block product (ABFT block recovery)."""
-        raise NotImplementedError
-
-    def compute_timed(
-        self,
-        x_locals: Sequence[np.ndarray],
-        clock: Callable[[], float],
-    ) -> Tuple[List[np.ndarray], List[Tuple[float, float]]]:
-        """One compute phase plus per-PE ``(t_start, t_end)`` windows.
-
-        The profiler's hook: products must be bit-identical to
-        :meth:`compute` / :meth:`compute_block` (same prepared states,
-        same kernel code) with each PE's span read from ``clock``
-        around its own product.  This default runs the per-PE products
-        sequentially in the calling thread — correct for serially
-        executing backends; pooled backends override it so spans are
-        read inside the worker and genuinely overlap.
-        """
+    def compute(
+        self, x_locals: Sequence[np.ndarray], recorder=None
+    ) -> List[np.ndarray]:
+        """One compute phase: the per-PE products, in PE order."""
         count("repro_backend_compute_phases_total", backend=self.name)
-        is_block = bool(x_locals) and getattr(x_locals[0], "ndim", 1) == 2
-        one = self.compute_one_block if is_block else self.compute_one
-        outs: List[np.ndarray] = []
-        windows: List[Tuple[float, float]] = []
-        for pe, x in enumerate(x_locals):
-            t_start = clock()
-            outs.append(one(pe, x))
-            windows.append((t_start, clock()))
-        return outs, windows
+        return run_per_pe(self.compute_one, x_locals, recorder)
 
     def close(self) -> None:
         """Release any pools; the backend may not be used afterwards."""
-
-    def __enter__(self) -> "ExecutionBackend":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

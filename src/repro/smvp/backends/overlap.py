@@ -13,13 +13,12 @@ product.  The backend therefore stays bit-identical to ``serial``
 per column while exposing the split the executor needs to hide
 exchange latency behind interior flops.
 
-``setup`` prepares *both* the full per-PE states (so the standard
-``compute``/``compute_block`` phases — used under ABFT, the sanitizer,
-and for recovery — behave exactly like ``serial``) and, once the
-executor installs the dof split via :meth:`set_row_split`, row-sliced
+``setup`` prepares *both* the full per-PE states (so the unsplit
+:meth:`compute` behaves exactly like ``serial``) and, once the executor
+installs the dof split via :meth:`set_row_split`, row-sliced
 boundary/interior states.  Kernels whose prepared state derives from
 the full matrix (``supports_row_split = False``, e.g.
-``symmetric-upper``) are rejected at setup.
+``symmetric-upper``) are refused at setup.
 """
 
 from __future__ import annotations
@@ -29,18 +28,20 @@ from typing import List, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.smvp.backends.base import ExecutionBackend
+from repro.smvp.backends.base import (
+    ExecutionBackend,
+    UnsupportedCombinationError,
+)
 from repro.smvp.kernels import Kernel
-from repro.telemetry.registry import count
 
 
 class OverlapBackend(ExecutionBackend):
     """Serial per-PE products with a boundary/interior row split."""
 
     name = "overlap"
-    #: The executor checks this flag to route multiplies through its
-    #: overlapped orchestration (boundary compute -> exchange launch ->
-    #: interior compute -> join).
+    #: The executor checks this flag to split its compute phase around
+    #: the exchange (boundary compute -> exchange launch -> interior
+    #: compute -> join).
     supports_overlap = True
 
     def __init__(self) -> None:
@@ -60,13 +61,12 @@ class OverlapBackend(ExecutionBackend):
 
     def setup(self, kernel: Kernel, matrices: Sequence[sp.spmatrix]) -> None:
         if not kernel.supports_row_split:
-            raise ValueError(
+            raise UnsupportedCombinationError(
                 f"kernel {kernel.name!r} does not support row splitting; "
                 "the overlap backend needs row-sliced boundary/interior "
                 "products (use a row-major kernel such as csr or bsr3x3)"
             )
         super().setup(kernel, matrices)
-        self.states = [kernel.prepare(m) for m in matrices]
         self._csr = [
             m if sp.isspmatrix_csr(m) else m.tocsr() for m in matrices
         ]
@@ -82,7 +82,7 @@ class OverlapBackend(ExecutionBackend):
         row indices (three per node, node-aligned so 3x3 block formats
         stay valid).  Called once by the executor at construction.
         """
-        if len(boundary_dofs) != self.num_parts:
+        if len(boundary_dofs) != len(self.states):
             raise ValueError("row split does not match PE count")
         self.boundary_dofs = [
             np.asarray(d, dtype=np.int64) for d in boundary_dofs
@@ -98,31 +98,7 @@ class OverlapBackend(ExecutionBackend):
             prepare(csr[d]) for csr, d in zip(self._csr, self.interior_dofs)
         ]
 
-    @property
-    def has_row_split(self) -> bool:
-        return self._boundary_states is not None
-
-    # -- standard phases (bit-identical to serial) --------------------------
-
-    def compute(self, x_locals: Sequence[np.ndarray]) -> List[np.ndarray]:
-        count("repro_backend_compute_phases_total", backend=self.name)
-        apply = self.kernel.apply
-        return [apply(state, x) for state, x in zip(self.states, x_locals)]
-
-    def compute_one(self, pe: int, x: np.ndarray) -> np.ndarray:
-        return self.kernel.apply(self.states[pe], x)
-
-    def compute_block(self, X_locals: Sequence[np.ndarray]) -> List[np.ndarray]:
-        count("repro_backend_compute_phases_total", backend=self.name)
-        apply_block = self.kernel.apply_block
-        return [
-            apply_block(state, X) for state, X in zip(self.states, X_locals)
-        ]
-
-    def compute_one_block(self, pe: int, X: np.ndarray) -> np.ndarray:
-        return self.kernel.apply_block(self.states[pe], X)
-
-    # -- split phases (used by the executor's overlapped orchestration) -----
+    # -- split phases (the executor's overlapped compute) --------------------
 
     def _ensure_buffers(self, tail: tuple) -> None:
         if self._buf_tail != tail:
@@ -143,21 +119,15 @@ class OverlapBackend(ExecutionBackend):
         overwrites it.
         """
         self._ensure_buffers(x.shape[1:])
-        state = self._boundary_states[pe]
-        out = self._bbufs[pe]
-        if x.ndim == 2:
-            return self.kernel.apply_block_into(state, x, out)
-        return self.kernel.apply_into(state, x, out)
+        return self._apply_into(self._boundary_states[pe], x, self._bbufs[pe])
 
     def compute_interior_one(self, pe: int, x: np.ndarray) -> np.ndarray:
-        """One PE's interior rows (vector or block x).
-
-        Returns a persistent backend-owned buffer, like
-        :meth:`compute_boundary_one`.
-        """
+        """One PE's interior rows, into a persistent buffer like
+        :meth:`compute_boundary_one`."""
         self._ensure_buffers(x.shape[1:])
-        state = self._interior_states[pe]
-        out = self._ibufs[pe]
+        return self._apply_into(self._interior_states[pe], x, self._ibufs[pe])
+
+    def _apply_into(self, state, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         if x.ndim == 2:
             return self.kernel.apply_block_into(state, x, out)
         return self.kernel.apply_into(state, x, out)

@@ -2,39 +2,10 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
-import numpy as np
-import scipy.sparse as sp
-
 from repro.smvp.backends.base import ExecutionBackend
-from repro.smvp.kernels import Kernel
-from repro.telemetry.registry import count
 
 
 class SerialBackend(ExecutionBackend):
     """Per-PE products one after another in the calling thread."""
 
     name = "serial"
-
-    def setup(self, kernel: Kernel, matrices: Sequence[sp.spmatrix]) -> None:
-        super().setup(kernel, matrices)
-        self.states = [kernel.prepare(m) for m in matrices]
-
-    def compute(self, x_locals: Sequence[np.ndarray]) -> List[np.ndarray]:
-        count("repro_backend_compute_phases_total", backend=self.name)
-        apply = self.kernel.apply
-        return [apply(state, x) for state, x in zip(self.states, x_locals)]
-
-    def compute_one(self, pe: int, x: np.ndarray) -> np.ndarray:
-        return self.kernel.apply(self.states[pe], x)
-
-    def compute_block(self, X_locals: Sequence[np.ndarray]) -> List[np.ndarray]:
-        count("repro_backend_compute_phases_total", backend=self.name)
-        apply_block = self.kernel.apply_block
-        return [
-            apply_block(state, X) for state, X in zip(self.states, X_locals)
-        ]
-
-    def compute_one_block(self, pe: int, X: np.ndarray) -> np.ndarray:
-        return self.kernel.apply_block(self.states[pe], X)

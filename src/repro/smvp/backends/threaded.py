@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.smvp.backends.base import ExecutionBackend
+from repro.smvp.backends.base import ExecutionBackend, run_per_pe
 from repro.smvp.kernels import Kernel
 from repro.telemetry.registry import count
 
@@ -40,7 +40,6 @@ class ThreadedBackend(ExecutionBackend):
 
     def setup(self, kernel: Kernel, matrices: Sequence[sp.spmatrix]) -> None:
         super().setup(kernel, matrices)
-        self.states = [kernel.prepare(m) for m in matrices]
         self.workers = self._requested_workers or default_workers(
             len(matrices)
         )
@@ -53,50 +52,21 @@ class ThreadedBackend(ExecutionBackend):
             )
         return self._pool
 
-    def compute(self, x_locals: Sequence[np.ndarray]) -> List[np.ndarray]:
-        count("repro_backend_compute_phases_total", backend=self.name)
-        pool = self._ensure_pool()
-        apply = self.kernel.apply
-        return list(pool.map(apply, self.states, x_locals))
+    def compute(
+        self, x_locals: Sequence[np.ndarray], recorder=None
+    ) -> List[np.ndarray]:
+        """The per-PE products on the pool, collected in PE order.
 
-    def compute_one(self, pe: int, x: np.ndarray) -> np.ndarray:
-        # Same prepared state and kernel code as the pooled path, so
-        # the recomputed product is bit-identical by construction.
-        return self.kernel.apply(self.states[pe], x)
-
-    def compute_block(self, X_locals: Sequence[np.ndarray]) -> List[np.ndarray]:
-        count("repro_backend_compute_phases_total", backend=self.name)
-        pool = self._ensure_pool()
-        apply_block = self.kernel.apply_block
-        return list(pool.map(apply_block, self.states, X_locals))
-
-    def compute_one_block(self, pe: int, X: np.ndarray) -> np.ndarray:
-        return self.kernel.apply_block(self.states[pe], X)
-
-    def compute_timed(self, x_locals, clock):
-        """Pooled compute with per-PE spans read *inside* the workers.
-
-        Same `pool.map` fan-out (and the same kernel code on the same
-        states) as :meth:`compute`, so the products are bit-identical;
-        only the clock reads around each product are new.  Reading the
-        clock in the worker thread means the recorded spans genuinely
-        overlap when the products do — that concurrency is exactly
-        what the profiler's imbalance attribution measures.
+        Each product is :meth:`compute_one` — the same kernel code on
+        the same prepared state as the serial loop — so the results
+        are bit-identical whatever the scheduling.  Span clocks are
+        read inside the workers, so recorded spans genuinely overlap
+        when the products do (what the profiler's imbalance
+        attribution measures).
         """
         count("repro_backend_compute_phases_total", backend=self.name)
         pool = self._ensure_pool()
-        is_block = bool(x_locals) and getattr(x_locals[0], "ndim", 1) == 2
-        apply = self.kernel.apply_block if is_block else self.kernel.apply
-
-        def timed(state, x):
-            t_start = clock()
-            y = apply(state, x)
-            return y, t_start, clock()
-
-        results = list(pool.map(timed, self.states, x_locals))
-        outs = [y for y, _, _ in results]
-        windows = [(t_start, t_end) for _, t_start, t_end in results]
-        return outs, windows
+        return run_per_pe(self.compute_one, x_locals, recorder, mapper=pool.map)
 
     def close(self) -> None:
         if self._pool is not None:

@@ -8,17 +8,18 @@ that flow into three explicit steps so the fault protocol composes as
 
 1. :func:`build_sends` — snapshot the pre-exchange partials into
    directed send buffers (as real message passing would);
-2. a *transport* delivers each directed block: :class:`CleanTransport`
-   is a lossless wire, :class:`FaultMiddleware` wraps the same
-   delivery in the checksum + retransmit protocol driven by a
-   :class:`~repro.faults.FaultInjector`;
+2. :func:`deliver` pushes each directed block through a *transport*:
+   :class:`CleanTransport` is a lossless wire, :class:`FaultMiddleware`
+   wraps the same delivery in the checksum + retransmit protocol driven
+   by a :class:`~repro.faults.FaultInjector`;
 3. :func:`apply_sends` — sum every delivered payload into the
    receiver's partial, in deterministic (pair, direction) order.
 
-:func:`run_exchange` composes the three.  With the clean transport the
-resulting bits are identical to the historical in-executor loop — the
-send construction order, payload copies, and summation order are all
-preserved exactly.
+:func:`run_exchange` composes the three; the executor's overlapped
+superstep runs the same three with step 2 on a background thread.
+With the clean transport the resulting bits are identical to the
+historical in-executor loop — the send construction order, payload
+copies, and summation order are all preserved exactly.
 """
 
 from __future__ import annotations
@@ -66,7 +67,9 @@ class BlockSend:
     payload: np.ndarray
 
 
-#: One shared-node pair: (part_a, part_b, local node indices on a, on b).
+#: One shared-node pair: (part_a, part_b, shared dof rows on a, on b),
+#: the two dof arrays in matching order.  On the overlapped path the
+#: "rows" are positions inside the per-PE boundary buffers instead.
 PairTable = Sequence[Tuple[int, int, np.ndarray, np.ndarray]]
 
 
@@ -80,11 +83,11 @@ def build_sends(y_locals: List[np.ndarray], pairs: PairTable) -> List[BlockSend]
     executor loop bit for bit.
     """
     sends: List[BlockSend] = []
-    for a, b, ia, ib in pairs:
-        dof_a = (3 * ia[:, None] + np.arange(3)).ravel()
-        dof_b = (3 * ib[:, None] + np.arange(3)).ravel()
-        sends.append(BlockSend(a, b, dof_b, y_locals[a][dof_a].copy()))
-        sends.append(BlockSend(b, a, dof_a, y_locals[b][dof_b].copy()))
+    for a, b, dof_a, dof_b in pairs:
+        # Integer-array indexing copies, so each payload is already the
+        # sender's own snapshot.
+        sends.append(BlockSend(a, b, dof_b, y_locals[a][dof_a]))
+        sends.append(BlockSend(b, a, dof_a, y_locals[b][dof_b]))
     return sends
 
 
@@ -239,25 +242,41 @@ def run_exchange(
     check needs the incoming payloads per receiver (for checksums and
     for replaying one PE's summation during inline recovery).
     """
+    delivered, record = deliver(
+        build_sends(y_locals, pairs), transport, step, num_parts
+    )
+    if collector is not None:
+        collector.extend(delivered)
+    y_locals = apply_sends(y_locals, delivered)
+    record_exchange_metrics(record)
+    return y_locals, record
+
+
+def deliver(
+    sends: Sequence[BlockSend], transport, step: int, num_parts: int
+) -> Tuple[List[Tuple[BlockSend, np.ndarray]], ExchangeRecord]:
+    """Transmit every send in order; returns ``(delivered, record)``.
+
+    ``delivered`` pairs each send with the payload that arrived (the
+    transport's verified copy); ``record`` counts every transmission,
+    retransmits and duplicates included.
+    """
     words_sent = np.zeros(num_parts, dtype=np.int64)
     blocks_sent = np.zeros(num_parts, dtype=np.int64)
     stats = transport.make_stats()
     delivered = [
         (send, transport.transmit(send, step, stats, words_sent, blocks_sent))
-        for send in build_sends(y_locals, pairs)
+        for send in sends
     ]
-    if collector is not None:
-        collector.extend(delivered)
-    y_locals = apply_sends(y_locals, delivered)
-    record = ExchangeRecord(words_sent, blocks_sent, faults=stats)
-    if get_registry() is not None:
-        _record_exchange_metrics(record)
-    return y_locals, record
+    return delivered, ExchangeRecord(words_sent, blocks_sent, faults=stats)
 
 
-def _record_exchange_metrics(record: ExchangeRecord) -> None:
-    """Fold one exchange's observed traffic into the installed registry."""
+def record_exchange_metrics(record: ExchangeRecord) -> None:
+    """Fold one exchange's observed traffic into the installed registry
+    (a no-op when none is installed)."""
     reg = get_registry()
+    if reg is None:
+        return
     reg.counter(
         "repro_exchange_rounds_total", "completed exchange phases"
     ).inc()

@@ -124,17 +124,13 @@ class RacyThreadedBackend(ThreadedBackend):
         )
         return y
 
-    def compute(self, x_locals: Sequence[np.ndarray]) -> List[np.ndarray]:
+    def compute(
+        self, x_locals: Sequence[np.ndarray], recorder=None
+    ) -> List[np.ndarray]:
         if self.mode == "input-mutation":
             self._inject_input_mutation(x_locals)
-            return super().compute(x_locals)
-        return self._inject_aliased_output(super().compute(x_locals))
-
-    def compute_block(self, X_locals: Sequence[np.ndarray]) -> List[np.ndarray]:
-        if self.mode == "input-mutation":
-            self._inject_input_mutation(X_locals)
-            return super().compute_block(X_locals)
-        return self._inject_aliased_output(super().compute_block(X_locals))
+            return super().compute(x_locals, recorder)
+        return self._inject_aliased_output(super().compute(x_locals, recorder))
 
 
 class RacySMVP(DistributedSMVP):
@@ -201,11 +197,10 @@ class RacySMVP(DistributedSMVP):
 
     def _install_skip_exchange(self) -> None:
         drop = int(self._race_rng.integers(len(self._pairs)))
-        a, b, ia, ib = self._pairs.pop(drop)
-        dof3 = np.arange(3)
+        a, b, dof_a, dof_b = self._pairs.pop(drop)
         self._skip_blame = [
-            (b, tuple(int(d) for d in (3 * ib[:, None] + dof3).ravel())),
-            (a, tuple(int(d) for d in (3 * ia[:, None] + dof3).ravel())),
+            (b, tuple(int(d) for d in dof_b)),
+            (a, tuple(int(d) for d in dof_a)),
         ]
 
     def _install_unscheduled_exchange(self) -> None:
@@ -224,7 +219,7 @@ class RacySMVP(DistributedSMVP):
                 "use a larger PE count"
             )
         a, b = bogus
-        idx = np.array([0], dtype=np.int64)
+        idx = np.arange(3, dtype=np.int64)  # node 0's dofs on each side
         self._pairs.append((a, b, idx, idx))
         self._bogus_blame = [
             (a, (0, 1, 2)),  # a->b delivery, blamed on the writer a

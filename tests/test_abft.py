@@ -36,7 +36,8 @@ from repro.fem.timestepper import ExplicitTimeStepper, stable_timestep
 from repro.partition.base import partition_mesh
 from repro.resilience import RecoveryPolicy, SuperstepSupervisor, run_chaos
 from repro.smvp import AbftChecker, SuperstepTrace, verify_flops_per_pe
-from repro.smvp.backends import backend_names
+from repro.smvp.abft import flat_cols, nnz_coords
+from repro.smvp.backends import UnsupportedCombinationError, backend_names
 from repro.smvp.executor import DistributedSMVP
 
 PES = 4
@@ -54,14 +55,16 @@ def demo_partition(demo_mesh):
 
 @pytest.fixture(scope="module")
 def executors(demo_mesh, demo_partition, demo_materials):
-    """One ABFT-armed executor per backend, shared by the module."""
+    """One executor per backend, shared by the module: ABFT-armed on
+    every backend except ``overlap``, which refuses ABFT at construction
+    (its unguarded executor still serves the checker-level tests)."""
     built = {
         name: DistributedSMVP(
             demo_mesh,
             demo_partition,
             demo_materials,
             backend=name,
-            abft=True,
+            abft=name != "overlap",
         )
         for name in backend_names()
     }
@@ -78,9 +81,15 @@ def _rng_x(mesh, seed=0):
 # Checker-level detection
 
 
+def _assert_overlap_refuses_abft(mesh, partition, materials):
+    with pytest.raises(UnsupportedCombinationError, match="overlap"):
+        DistributedSMVP(mesh, partition, materials, backend="overlap", abft=True)
+
+
 def test_clean_compute_passes_and_rate0_is_bit_identical(
     demo_mesh, demo_partition, demo_materials, executors
 ):
+    _assert_overlap_refuses_abft(demo_mesh, demo_partition, demo_materials)
     plain = DistributedSMVP(demo_mesh, demo_partition, demo_materials)
     x = _rng_x(demo_mesh)
     try:
@@ -395,11 +404,22 @@ def test_bsp_simulator_charges_t_verify(demo_mesh, demo_partition):
     x_seed=st.integers(min_value=0, max_value=7),
 )
 def test_any_single_bit_flip_is_detected(
-    executors, demo_mesh, backend, kind, pe, site, x_seed
+    executors,
+    demo_mesh,
+    demo_partition,
+    demo_materials,
+    backend,
+    kind,
+    pe,
+    site,
+    x_seed,
 ):
     """One flip, drawn by the injector's own site model, in the local
     input, output, or matrix of any PE on any backend: the per-PE CRC
-    or checksum check must fail."""
+    or checksum check must fail.  (ABFT itself is refused on
+    ``overlap``; the checker still catches flips in its products.)"""
+    if backend == "overlap":
+        _assert_overlap_refuses_abft(demo_mesh, demo_partition, demo_materials)
     smvp = executors[backend]
     checker = AbftChecker(smvp.local_matrices)
     injector = FaultInjector(FaultConfig(seed=site, flip_x_rate=1.0))
@@ -416,16 +436,15 @@ def test_any_single_bit_flip_is_detected(
     else:
         matrix = smvp.local_matrices[pe]
         data = np.asarray(matrix.data).reshape(-1)
-        flat_cols = smvp._flat_cols(pe)
-        importance = np.abs(data) * np.abs(x_local[flat_cols])
+        importance = np.abs(data) * np.abs(
+            x_local[flat_cols(smvp.local_matrices[pe])]
+        )
         if float(importance.max()) <= 0.0:
             return  # a zero-effect flip is a bitwise no-op by design
         word, bit = injector.sdc_site(importance, pe, step=0)
         old = float(data[word])
         flipped = np.array([old])
         flipped.view(np.uint64)[0] ^= np.uint64(1) << np.uint64(bit)
-        from repro.smvp.abft import nnz_coords
-
         row, col = nnz_coords(matrix, word)
         y[row] += (float(flipped[0]) - old) * x_local[col]
     check = checker.check_compute(pe, x_local, y)

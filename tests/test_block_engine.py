@@ -446,7 +446,7 @@ class TestBlockAbft:
             checker = AbftChecker(smvp.local_matrices)
             nodes = smvp.local_nodes[pe]
             X_local = x_block.reshape(-1, 3, R)[nodes].reshape(-1, R)
-            Y = smvp.backend.compute_one_block(pe, X_local)
+            Y = smvp.backend.compute_one(pe, X_local)
             assert checker.check_compute(pe, X_local, Y).ok
             row = int(
                 np.random.default_rng(seed).integers(0, Y.shape[0])

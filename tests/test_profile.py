@@ -3,7 +3,7 @@
 Covers the acceptance contract:
 
 * the critical-path identity (``sum(buckets) == t_smvp`` and the path
-  length matching it) holds on all four backends,
+  length matching it) holds on all three backends,
 * ``profile=True`` never changes the numbers — outputs stay
   bit-identical to the unprofiled executor, on every backend and on
   the ABFT path,
@@ -46,7 +46,7 @@ from repro.telemetry import DriftMonitor
 
 PES = 4
 
-BACKENDS = ("serial", "threaded", "shared-memory", "overlap")
+BACKENDS = ("serial", "threaded", "overlap")
 
 
 @pytest.fixture(scope="module")

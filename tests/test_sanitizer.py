@@ -40,7 +40,7 @@ from repro.smvp.racy import (
     verify_detection,
 )
 
-BACKENDS = ("serial", "threaded", "shared-memory")
+BACKENDS = ("serial", "threaded")
 
 
 @pytest.fixture(scope="module")
